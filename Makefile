@@ -37,6 +37,7 @@ crash-drill: build
 # `experiments -bench-compare old.json new.json`.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkTC|BenchmarkEngineFleet|BenchmarkEngineBurst|BenchmarkDaemonLoopback|BenchmarkTreePar' -benchtime 100x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkSnapshotCapture' -benchtime 3x -benchmem ./internal/snapshot
 
 # bench-compare gates a perf PR mechanically: record OLD=... from the
 # base commit and NEW=... from the candidate (both via

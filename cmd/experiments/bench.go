@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/snapshot"
 	"repro/internal/trace"
 )
 
@@ -108,6 +109,14 @@ func runDaemonBench(c experiments.DaemonBenchCase) benchResult {
 	return toResult(c.Name, testing.Benchmark(func(b *testing.B) { experiments.DaemonLoopbackBench(b, c) }))
 }
 
+// runCaptureBench measures one cell of the supervision-capture grid
+// (body shared with internal/snapshot's BenchmarkSnapshotCapture, whose
+// /reference rows pair each cell with the test-only from-scratch
+// export): ns/op is one capture.
+func runCaptureBench(c experiments.CaptureBenchCase) benchResult {
+	return toResult(c.Name, testing.Benchmark(func(b *testing.B) { experiments.CaptureBench(b, c, snapshot.Capture) }))
+}
+
 func runBenchCase(c experiments.BenchCase) benchResult {
 	t := c.Build()
 	rng := rand.New(rand.NewSource(1))
@@ -153,10 +162,11 @@ func emitBenchJSON(path string, asBaseline bool, cpus []int) error {
 	engineCases := append(experiments.EngineBenchCases(), experiments.EngineBurstCases()...)
 	daemonCases := experiments.DaemonBenchCases()
 	treeParCases := experiments.TreeParBenchCases()
+	captureCases := experiments.CaptureBenchCases()
 	if len(cpus) == 0 {
 		cpus = []int{runtime.GOMAXPROCS(0)}
 	}
-	results := make([]benchResult, 0, len(cases)+len(burstCases)+len(churnCases)+len(engineCases)+len(daemonCases)+len(treeParCases)*len(cpus))
+	results := make([]benchResult, 0, len(cases)+len(burstCases)+len(churnCases)+len(engineCases)+len(daemonCases)+len(captureCases)+len(treeParCases)*len(cpus))
 	for _, c := range cases {
 		fmt.Fprintf(os.Stderr, "bench %s...\n", c.Name)
 		results = append(results, runBenchCase(c))
@@ -176,6 +186,10 @@ func emitBenchJSON(path string, asBaseline bool, cpus []int) error {
 	for _, c := range daemonCases {
 		fmt.Fprintf(os.Stderr, "bench %s...\n", c.Name)
 		results = append(results, runDaemonBench(c))
+	}
+	for _, c := range captureCases {
+		fmt.Fprintf(os.Stderr, "bench %s...\n", c.Name)
+		results = append(results, runCaptureBench(c))
 	}
 	ambient := runtime.GOMAXPROCS(0)
 	for _, procs := range cpus {

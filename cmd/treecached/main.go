@@ -98,6 +98,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	// Catch the stop signals before Start: from the moment /readyz can
+	// answer 200, a SIGTERM must drain and checkpoint, not kill.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 	if err := srv.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -108,8 +112,6 @@ func main() {
 	}
 	fmt.Println()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 	<-sig
 	fmt.Println("treecached: draining")
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

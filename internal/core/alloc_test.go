@@ -112,6 +112,39 @@ func TestMutableServeZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestMutableTrackedZeroAllocs asserts that change tracking keeps the
+// dynamic-topology batched serve path allocation-free, and that a
+// steady-state refresh of the stable-id mirror allocates nothing in
+// either mode: the incremental re-read of the dirty list and the full
+// sweep. As in the tests above, one replay grows the scratch (dirty
+// list included) to the trace's demand, Reset keeps it, and the
+// identical replay is measured.
+func TestMutableTrackedZeroAllocs(t *testing.T) {
+	tr := tree.CompleteKary(16384, 2)
+	m := NewMutable(tr, MutableConfig{Config: Config{Alpha: 8, Capacity: 2048}})
+	rng := rand.New(rand.NewSource(21))
+	input := trace.RandomMixed(rng, tr, 8192)
+	input = append(input, trace.Bursts(rng, tr, trace.BurstsConfig{Rounds: 8192, RunLen: 16, ZipfS: 1.1, NegFrac: 0.5})...)
+	replay := func(full bool) {
+		for lo := 0; lo < len(input); lo += 512 {
+			m.ServeBatch(input[lo : lo+512])
+			m.trk.full = m.trk.full || full
+			m.Mirror()
+		}
+		m.Reset()
+	}
+	replay(true)
+	replay(false)
+	for _, full := range []bool{false, true} {
+		if allocs := testing.AllocsPerRun(3, func() { replay(full) }); allocs != 0 {
+			t.Errorf("tracked ServeBatch + refresh (full sweep %v) allocated %.1f times per replay, want 0", full, allocs)
+		}
+	}
+	if m.Phase() != 0 || m.Ledger().Total() != 0 {
+		t.Fatalf("Reset did not restore the initial state")
+	}
+}
+
 // TestLayoutEquivalenceAgainstReference replays identical deterministic
 // traces through the brute-force Section 4 reference implementation and
 // the CSR/interval-based TC on the canonical shapes, asserting equal

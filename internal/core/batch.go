@@ -132,6 +132,9 @@ func (a *TC) servePositiveRun(v tree.NodeID, k int64) int64 {
 	if m >= 0 {
 		panic("core: saturated changeset survived between rounds (Lemma 5.1 breach)")
 	}
+	if a.trk != nil {
+		a.trk.mark(v)
+	}
 	j := -m // analytic saturation point: first fetch after j requests
 	if j > k {
 		a.posRootPathAdd(gv, k, 0)
@@ -217,6 +220,9 @@ func (a *TC) posMaxRec(off, base, p, l, t, lo, hi, qr int32, acc int64) int64 {
 // eviction) is applied as the exact single event it is in the
 // per-request replay.
 func (a *TC) serveNegativeRun(v tree.NodeID, k int64) int64 {
+	if a.trk != nil {
+		a.trk.mark(v)
+	}
 	g := a.t.HeavySlot(v)
 	hA, _ := a.negReadSlot(g)
 	if hA+k < 0 {

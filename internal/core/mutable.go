@@ -185,6 +185,9 @@ func (ov *tcOverlay) finalizeEvictions() {
 // children of dense node v (hA = cnt − α, hB = 1).
 func (ov *tcOverlay) cachedChildContrib(a *TC, v tree.NodeID) (int64, int64) {
 	var sa, sb int64
+	if ov.nLive == 0 {
+		return 0, 0 // skip the map lookup
+	}
 	for _, i := range ov.byParent[v] {
 		l := &ov.leaves[i]
 		if l.cached {
@@ -207,6 +210,9 @@ func (ov *tcOverlay) cachedChildHA(a *TC, v tree.NodeID) int64 {
 // children of dense node v (their caps are singletons, so cnt(P) = cnt).
 func (ov *tcOverlay) missingChildCnt(v tree.NodeID) int64 {
 	var c int64
+	if ov.nLive == 0 {
+		return 0 // skip the map lookup
+	}
 	for _, i := range ov.byParent[v] {
 		if l := &ov.leaves[i]; !l.cached {
 			c += l.cnt
@@ -315,6 +321,16 @@ func (a *TC) resolveSaturation(g int32) {
 	}
 }
 
+// resolveEviction evicts H(r) when cached-tree root r's eviction cap
+// is saturated (val(H(r)) > 0, i.e. hA(r) ≥ 0) — the negative-side
+// counterpart of resolveSaturation, for mutations that move hval
+// contributions onto a cached chain.
+func (a *TC) resolveEviction(r tree.NodeID) {
+	if hA, _ := a.negRead(r); hA >= 0 {
+		a.applyEvict(r)
+	}
+}
+
 // stableObserver translates the embedded TC's event stream from dense
 // snapshot ids to stable ids, so an attached Observer sees ONE
 // coherent id space across epoch rebuilds. Dense ids are < the
@@ -387,15 +403,20 @@ type MutableTC struct {
 
 	rebuilds int64
 
+	// The stable-id state mirror (mirror.go): counter and cached flag
+	// by stable id, valid as of the last refresh; trk, shared with the
+	// inner TC across rebuilds, records what changed since.
+	cntS    []int64
+	cachedS []bool
+	trk     *tracker
+
 	// Scratch, persistent across operations.
-	dbuf    trace.Trace   // dense-id request buffer of ServeBatch
-	cntS    []int64       // migration: counter by stable id
-	cachedS []bool        // migration: cached flag by stable id
-	cntP    []int64       // injection: cnt(P(v)) by dense id
-	szP     []int32       // injection: |P(v)| by dense id
-	hAv     []int64       // injection: hA by dense id
-	hBv     []int64       // injection: hB by dense id
-	memBuf  []tree.NodeID // member scratch
+	dbuf   trace.Trace   // dense-id request buffer of ServeBatch
+	cntP   []int64       // injection: cnt(P(v)) by dense id
+	szP    []int32       // injection: |P(v)| by dense id
+	hAv    []int64       // injection: hA by dense id
+	hBv    []int64       // injection: hB by dense id
+	memBuf []tree.NodeID // member scratch
 }
 
 // NewMutable returns a dynamic-topology TC over initial topology t.
@@ -412,8 +433,14 @@ func NewMutable(t *tree.Tree, cfg MutableConfig) *MutableTC {
 }
 
 // newInner builds the embedded TC over snapshot t, with the observer
-// wrapped to translate dense ids back to stable ids.
+// wrapped to translate dense ids back to stable ids and the change
+// tracker attached. The tracker must be empty: a new instance starts
+// it with the full flag set, a rebuild refreshes before installing.
 func (m *MutableTC) newInner(t *tree.Tree) *TC {
+	if m.trk == nil {
+		m.trk = &tracker{full: true}
+	}
+	m.trk.resize(t.Len())
 	inner := m.cfg.Config
 	if inner.Observer != nil {
 		if m.obs == nil {
@@ -423,6 +450,7 @@ func (m *MutableTC) newInner(t *tree.Tree) *TC {
 	}
 	tc := New(t, inner)
 	tc.ov = newOverlay()
+	tc.trk = m.trk
 	return tc
 }
 
@@ -479,6 +507,10 @@ func (m *MutableTC) Round() int64 { return m.tc.Round() }
 
 // Phase returns the current 0-based phase index.
 func (m *MutableTC) Phase() int64 { return m.tc.Phase() }
+
+// PhaseRounds returns the number of requests served in the current
+// phase.
+func (m *MutableTC) PhaseRounds() int64 { return m.tc.rounds }
 
 // CacheLen returns the live cache occupancy.
 func (m *MutableTC) CacheLen() int { return m.tc.effCacheLen() }
@@ -624,6 +656,7 @@ func (m *MutableTC) ovServe(v tree.NodeID, kind trace.Kind) (int64, int64) {
 	if !paid {
 		return 0, 0
 	}
+	m.trk.full = true // overlay records are not tracked per node
 	a.led.PayServe()
 	moveBefore := a.led.Move
 	if kind == trace.Positive {
@@ -727,6 +760,7 @@ func (m *MutableTC) Insert(parent tree.NodeID) (tree.NodeID, error) {
 	if err != nil {
 		return tree.None, err
 	}
+	m.trk.full = true
 	a := m.tc
 	ov := a.ov
 	gp := m.dyn.Dense(parent)
@@ -778,7 +812,7 @@ func (m *MutableTC) InsertBetween(parent tree.NodeID, adopt []tree.NodeID) (tree
 		m.tc.endPhase(m.tc.ov.wfBuf[:0])
 		parentCached = false
 	}
-	m.flushState()
+	m.refresh()
 	v, err := m.dyn.InsertBetween(parent, adopt)
 	if err != nil {
 		panic("core: validated InsertBetween failed: " + err.Error())
@@ -814,6 +848,7 @@ func (m *MutableTC) Delete(v tree.NodeID) error {
 	if m.dyn.LiveChildren(v) > 0 {
 		return m.deleteLift(v)
 	}
+	m.trk.full = true
 	a := m.tc
 	ov := a.ov
 	alpha := a.cfg.Alpha
@@ -880,19 +915,41 @@ func (m *MutableTC) Delete(v tree.NodeID) error {
 // parent, via an eager state-migrating rebuild.
 func (m *MutableTC) deleteLift(v tree.NodeID) error {
 	p := m.dyn.Parent(v)
-	m.flushState()
+	m.refresh()
 	if m.cachedS[v] {
 		m.tc.led.PayEvict(1) // forced eviction: the counter resets with it
 	} else {
 		m.cntS[p] += m.cntS[v] // settle into the parent
 	}
-	if _, err := m.dyn.DeleteLift(v); err != nil {
+	vCached := m.cachedS[v]
+	m.cntS[v], m.cachedS[v] = 0, false
+	lifted, err := m.dyn.DeleteLift(v)
+	if err != nil {
 		panic("core: validated DeleteLift failed: " + err.Error())
 	}
 	m.installSnapshot(m.dyn.Rebuild())
-	// The caps enclosing p shrank; restore the Lemma 5.1(3) invariant.
-	if !m.Cached(p) {
-		m.tc.resolveSaturation(m.tc.t.HeavySlot(m.dyn.Dense(p)))
+	// Restore the Lemma 5.1(3) invariant: no saturated changeset may
+	// survive between rounds.
+	a := m.tc
+	gp := m.dyn.Dense(p)
+	switch {
+	case !vCached:
+		// The caps enclosing p shrank: a fetch may be saturated.
+		a.resolveSaturation(a.t.HeavySlot(gp))
+	case a.cache.Contains(gp):
+		// v's children now contribute to p's cached chain directly,
+		// which can saturate the eviction cap of p's cached tree.
+		r := gp
+		for q := a.t.Parent(r); q != tree.None && a.cache.Contains(q); q = a.t.Parent(q) {
+			r = q
+		}
+		a.resolveEviction(r)
+	default:
+		// v's (cached) children became roots of their own cached
+		// trees, and any of their caps may be saturated.
+		for _, c := range lifted {
+			a.resolveEviction(m.dyn.Dense(c))
+		}
 	}
 	return nil
 }
@@ -966,46 +1023,15 @@ func (m *MutableTC) maybeRebuild() {
 // is reinjected. Serving any suffix afterwards produces exactly the
 // costs and cache contents the overlay instance would have produced.
 func (m *MutableTC) Rebuild() {
-	m.flushState()
+	m.refresh()
 	m.installSnapshot(m.dyn.Rebuild())
-}
-
-// flushState extracts the logical state — counter and cached flag of
-// every live node — into the stable-id-indexed migration buffers.
-func (m *MutableTC) flushState() {
-	ids := m.dyn.NumIDs()
-	// Guard every buffer's capacity independently: appends and make()
-	// round to per-element-size size classes, so same-length slices of
-	// different element types do not share a capacity.
-	if cap(m.cntS) < ids {
-		m.cntS = make([]int64, ids)
-	}
-	if cap(m.cachedS) < ids {
-		m.cachedS = make([]bool, ids)
-	}
-	m.cntS = m.cntS[:ids]
-	m.cachedS = m.cachedS[:ids]
-	a := m.tc
-	for s := 0; s < ids; s++ {
-		sv := tree.NodeID(s)
-		if !m.dyn.Live(sv) {
-			m.cntS[s], m.cachedS[s] = 0, false
-			continue
-		}
-		if g := m.dyn.Dense(sv); g != tree.None {
-			m.cntS[s] = a.Counter(g)
-			m.cachedS[s] = a.cache.Contains(g)
-		} else {
-			l := &a.ov.leaves[a.ov.idx[sv]]
-			m.cntS[s] = l.cnt
-			m.cachedS[s] = l.cached
-		}
-	}
 }
 
 // installSnapshot builds a fresh TC over the new snapshot and injects
 // the migrated state via the shared inject pass (the rebuild case has
-// an empty overlay and no phantoms).
+// an empty overlay and no phantoms). The caller has just refreshed the
+// mirror, which stays valid: it is indexed by stable id, and the new
+// TC holds exactly the state it describes.
 func (m *MutableTC) installSnapshot(t *tree.Tree) {
 	old := m.tc
 	tcNew := m.newInner(t)
@@ -1023,32 +1049,20 @@ func (m *MutableTC) installSnapshot(t *tree.Tree) {
 // membership wholesale (the cached-boundary revalidation lives in
 // cache.InstallMembers), then one bottom-up pass deriving the positive
 // aggregates (cnt(P), |P|) for non-cached nodes and the hvals for
-// cached nodes from the stable-indexed migration buffers (m.cntS,
-// m.cachedS). The pass also folds in whatever overlay tcNew.ov already
-// carries (state restore reinstalls inserted leaves before injecting;
-// the rebuild path injects into an empty overlay) and treats the
+// cached nodes from the stable-id mirror (m.cntS, m.cachedS). The
+// pass also folds in whatever overlay tcNew.ov already carries (state
+// restore reinstalls inserted leaves before injecting; the rebuild
+// path injects into an empty overlay) and treats the
 // phantom set ph (dense-indexed, nil when empty) as pinned-cached
 // tombstones: membership without hval (the sentinel keeps them out of
 // every hval walk) and exclusion from every enclosing cap.
 func (m *MutableTC) inject(tcNew *TC, t *tree.Tree, ph []bool) {
 	n := t.Len()
-	// Independent capacity guards: size-class rounding differs per
-	// element type, so one slice's capacity says nothing about the
-	// others'.
-	if cap(m.cntP) < n {
-		m.cntP = make([]int64, n)
-	}
+	m.cntP, m.hAv, m.hBv = fitInt64(m.cntP, n), fitInt64(m.hAv, n), fitInt64(m.hBv, n)
 	if cap(m.szP) < n {
 		m.szP = make([]int32, n)
 	}
-	if cap(m.hAv) < n {
-		m.hAv = make([]int64, n)
-	}
-	if cap(m.hBv) < n {
-		m.hBv = make([]int64, n)
-	}
-	m.cntP, m.szP = m.cntP[:n], m.szP[:n]
-	m.hAv, m.hBv = m.hAv[:n], m.hBv[:n]
+	m.szP = m.szP[:n]
 	m.memBuf = m.memBuf[:0]
 	for g := 0; g < n; g++ {
 		if (ph != nil && ph[g]) || m.cachedS[m.dyn.Stable(tree.NodeID(g))] {

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/trace"
 	"repro/internal/tree"
 )
@@ -391,6 +392,63 @@ func TestMutableBatchMatchesServe(t *testing.T) {
 	}
 	if a.Ledger() != b.Ledger() {
 		t.Fatalf("ledgers diverged: %+v vs %+v", a.Ledger(), b.Ledger())
+	}
+}
+
+// TestDeleteLiftResolvesEviction pins the negative side of a lifting
+// withdrawal: removing cached interior v hands its children's hval
+// contributions to p's cached chain (or makes the children cached-tree
+// roots when p is not cached), which can leave an eviction cap
+// saturated. The withdrawal must apply that eviction at once, as it
+// applies a saturated fetch; left in place, the next paid negative
+// request climbs past the cached-tree root.
+func TestDeleteLiftResolvesEviction(t *testing.T) {
+	cases := []struct {
+		name    string
+		parents []tree.NodeID
+		cached  []bool
+		cnt     []int64
+		del     tree.NodeID
+		evicted []tree.NodeID // besides the withdrawn node
+	}{
+		// 4 (hA 1) lifts under cached root 2: hA(2) = 1 − 2 + 1 = 0.
+		{"cached-parent", []tree.NodeID{tree.None, 0, 1, 2, 3},
+			[]bool{false, false, true, true, true}, []int64{0, 0, 1, 0, 3}, 3, []tree.NodeID{2, 4}},
+		// 3 (hA 1) lifts under non-cached 1 and roots its own tree.
+		{"root-child", []tree.NodeID{tree.None, 0, 1, 2},
+			[]bool{false, false, true, true}, []int64{0, 0, 0, 3}, 2, []tree.NodeID{3}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			n := len(c.parents)
+			st := &MutableState{
+				Parent: c.parents, Live: make([]bool, n), InSnap: make([]bool, n),
+				Cnt: c.cnt, Cached: c.cached, Led: cache.Ledger{Alpha: 2},
+			}
+			for i := range st.Live {
+				st.Live[i], st.InSnap[i] = true, true
+			}
+			m, err := RestoreMutable(MutableConfig{Config: Config{Alpha: 2, Capacity: n}}, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Delete(c.del); err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range c.evicted {
+				if m.Cached(v) {
+					t.Errorf("node %d still cached: its saturated eviction cap survived the withdrawal", v)
+				}
+			}
+			if got, want := m.Ledger().Evicted, int64(1+len(c.evicted)); got != want {
+				t.Errorf("evicted %d nodes, want %d", got, want)
+			}
+			for i := 0; i < 8; i++ { // must not breach Lemma 5.1
+				for v := 0; v < n; v++ {
+					m.Serve(trace.Neg(tree.NodeID(v)))
+				}
+			}
+		})
 	}
 }
 

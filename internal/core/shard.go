@@ -355,6 +355,10 @@ func (a *TC) CommitWave(views []*ShardView, preLen int) {
 	}
 	a.peak = peak
 	a.cache.AdjustLen(n - preLen)
+	if a.trk != nil {
+		// Shard owners serve concurrently and record nothing.
+		a.trk.full = true
+	}
 }
 
 // Observed reports whether an analysis observer is attached; observers

@@ -10,7 +10,9 @@
 // segment skeletons, the overlay's derived sums — is a pure function
 // of this state and is rematerialized on import by the same bottom-up
 // injection pass the amortized rebuild uses (inject), so a restored
-// instance serves any suffix exactly like the captured one.
+// instance serves any suffix exactly like the captured one. The
+// capture side needs no copy: MutableTC.Mirror (mirror.go) and the
+// accessors expose the same fields over the instance's own buffers.
 //
 // internal/snapshot wraps this in a versioned, checksummed binary
 // codec; this file deliberately knows nothing about bytes.
@@ -42,35 +44,6 @@ type MutableState struct {
 	PhaseRounds int64 // rounds within the current phase (diagnostics)
 	Phase       int64 // completed phases
 	Peak        int   // high-water cache occupancy
-}
-
-// ExportState captures the instance's full observable state. The
-// returned value shares nothing with the instance and stays valid
-// across further serving.
-func (m *MutableTC) ExportState() *MutableState {
-	m.flushState()
-	ids := m.dyn.NumIDs()
-	st := &MutableState{
-		Parent:      make([]tree.NodeID, ids),
-		Live:        make([]bool, ids),
-		InSnap:      make([]bool, ids),
-		Cnt:         append([]int64(nil), m.cntS...),
-		Cached:      append([]bool(nil), m.cachedS...),
-		Epoch:       m.dyn.Epoch(),
-		Pending:     m.dyn.Pending(),
-		Led:         m.tc.led,
-		Round:       m.tc.round,
-		PhaseRounds: m.tc.rounds,
-		Phase:       m.tc.phase,
-		Peak:        m.tc.peak,
-	}
-	for s := 0; s < ids; s++ {
-		sv := tree.NodeID(s)
-		st.Parent[s] = m.dyn.Parent(sv)
-		st.Live[s] = m.dyn.Live(sv)
-		st.InSnap[s] = m.dyn.Dense(sv) != tree.None
-	}
-	return st
 }
 
 // RebuildFrac returns the configured rebuild threshold fraction.

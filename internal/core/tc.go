@@ -216,6 +216,12 @@ type TC struct {
 	// and nothing on the per-request serve path.
 	ov *tcOverlay
 
+	// trk, when non-nil, records the nodes whose counter or cached flag
+	// changed since the owning MutableTC last refreshed its stable-id
+	// state mirror (mirror.go). Nil-checked like ov: a static TC pays
+	// one predictable branch, on the paid serve path only.
+	trk *tracker
+
 	// Scratch buffers reused across rounds; Serve never heap-allocates
 	// in steady state.
 	xbuf    []tree.NodeID
@@ -368,6 +374,9 @@ func (a *TC) Reset() {
 	a.epoch++
 	if a.ov != nil {
 		a.ov.afterFlush(a)
+	}
+	if a.trk != nil {
+		a.trk.clearAll()
 	}
 }
 
@@ -619,6 +628,9 @@ func (a *TC) posRootPathAdd(g int32, dK int64, dS int32) {
 // ---------------------------------------------------------------------------
 
 func (a *TC) servePositive(v tree.NodeID) {
+	if a.trk != nil {
+		a.trk.mark(v)
+	}
 	// v is non-cached, hence (downward closure) so is its whole root
 	// path, and the counter bump is absorbed by the +1 on every
 	// root-path key (v's own key included).
@@ -706,6 +718,12 @@ func (a *TC) applyFetch(u tree.NodeID, gu int32, c int64, s int32) {
 	}
 	if a.ov != nil {
 		a.ov.fetchJoiners()
+	}
+	if a.trk != nil {
+		a.trk.markAll(x) // fetching resets the counters
+		if nJoin > 0 {
+			a.trk.full = true
+		}
 	}
 	a.led.PayFetch(int(s))
 	if n := a.effCacheLen(); n > a.peak {
@@ -924,6 +942,9 @@ func (a *TC) negLastRec(off, base, p, l, t, lo, hi, qr int32, acc int64) int32 {
 // ---------------------------------------------------------------------------
 
 func (a *TC) serveNegative(v tree.NodeID) {
+	if a.trk != nil {
+		a.trk.mark(v)
+	}
 	if r := a.negServe(v); r != tree.None {
 		a.applyEvict(r)
 	}
@@ -1140,6 +1161,12 @@ func (a *TC) applyEvict(r tree.NodeID) {
 		panic("core: " + err.Error())
 	}
 	a.led.PayEvict(len(x) + nEv)
+	if a.trk != nil {
+		a.trk.markAll(x) // evicting resets the counters
+		if nEv > 0 {
+			a.trk.full = true
+		}
+	}
 	// Rebuild P-aggregates bottom-up within the cap: size = |X ∩ T(x)|
 	// (all other descendants remain cached), cnt = 0, so key = −α·size.
 	// The evicted slots also return to the sentinel on the negative
@@ -1228,5 +1255,8 @@ func (a *TC) endPhase(wouldFetch []tree.NodeID) {
 		// shape; the overlay re-applies the live topology's deltas
 		// (tombstones out, inserted leaves in).
 		a.ov.afterFlush(a)
+	}
+	if a.trk != nil {
+		a.trk.clearAll()
 	}
 }

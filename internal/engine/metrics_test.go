@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
-	"regexp"
 	"strconv"
 	"strings"
 	"sync"
@@ -23,30 +22,14 @@ func scrape(e *Engine, path string) (string, int) {
 	return rec.Body.String(), rec.Code
 }
 
-// sampleLine matches one Prometheus text-format sample:
-// name{label="value",...} value
-var sampleLine = regexp.MustCompile(
-	`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0-9_]*="(\\.|[^"\\])*"(,[a-zA-Z_][a-zA-Z0-9_]*="(\\.|[^"\\])*")*\})? \S+$`)
-
-// parseExposition validates the whole body parses as Prometheus text
-// format and returns sample values keyed by the full series id (name +
-// label block).
+// parseExposition requires the whole body to lint as one valid
+// exposition (metrics.Lint) and returns sample values keyed by the
+// full series id (name + label block).
 func parseExposition(t *testing.T, body string) map[string]float64 {
 	t.Helper()
-	out := map[string]float64{}
-	for _, line := range strings.Split(body, "\n") {
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		if !sampleLine.MatchString(line) {
-			t.Fatalf("line does not parse as a Prometheus sample: %q", line)
-		}
-		i := strings.LastIndexByte(line, ' ')
-		v, err := strconv.ParseFloat(line[i+1:], 64)
-		if err != nil {
-			t.Fatalf("sample value %q: %v", line, err)
-		}
-		out[line[:i]] = v
+	out := parseExpositionErr(body)
+	if out == nil {
+		t.Fatalf("invalid exposition: %v", metrics.Lint(body))
 	}
 	return out
 }
@@ -414,15 +397,15 @@ func TestMetricsScrapeRace(t *testing.T) {
 }
 
 // parseExpositionErr is parseExposition without the testing.T (for use
-// inside goroutines); returns nil when any line fails to parse.
+// inside goroutines); returns nil when the body does not lint.
 func parseExpositionErr(body string) map[string]float64 {
+	if metrics.Lint(body) != nil {
+		return nil
+	}
 	out := map[string]float64{}
 	for _, line := range strings.Split(body, "\n") {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
-		}
-		if !sampleLine.MatchString(line) {
-			return nil
 		}
 		i := strings.LastIndexByte(line, ' ')
 		v, err := strconv.ParseFloat(line[i+1:], 64)

@@ -437,6 +437,11 @@ type DaemonBenchCase struct {
 	// fsync), so the wal=1 rows price the durability tax of "ack means
 	// on disk" against the in-memory rows.
 	WAL bool
+	// CheckpointEvery turns on shard supervision at that cadence (a
+	// state capture plus its verification every CheckpointEvery served
+	// messages, the daemon's default is 32); 0 keeps it off, so the
+	// ckpt rows price supervision against their unsupervised twins.
+	CheckpointEvery int
 }
 
 // DaemonBenchCases returns the canonical daemon grid, shared by the
@@ -444,19 +449,22 @@ type DaemonBenchCase struct {
 // -bench-json recorder. Comparing clients=4 against clients=1 shows
 // how much of the fleet's shard parallelism survives the wire;
 // comparing wal=1 against its in-memory twin in the same process run
-// quotes the durability tax.
+// quotes the durability tax, and ckpt=32 against clients=1 the
+// supervision tax.
 func DaemonBenchCases() []DaemonBenchCase {
 	return []DaemonBenchCase{
-		{"DaemonLoopback/clients=1", 1, 1024, false},
-		{"DaemonLoopback/clients=4", 4, 1024, false},
-		{"DaemonLoopback/clients=1/wal=1", 1, 1024, true},
-		{"DaemonLoopback/clients=4/wal=1", 4, 1024, true},
+		{"DaemonLoopback/clients=1", 1, 1024, false, 0},
+		{"DaemonLoopback/clients=4", 4, 1024, false, 0},
+		{"DaemonLoopback/clients=1/wal=1", 1, 1024, true, 0},
+		{"DaemonLoopback/clients=4/wal=1", 4, 1024, true, 0},
+		{"DaemonLoopback/clients=1/ckpt=32", 1, 1024, false, 32},
 	}
 }
 
 // DaemonLoopbackBench boots an in-process server on an ephemeral
 // loopback port (no persistence, no quota, supervision checkpoints
-// off so the cell isolates the wire+dispatch path) and drives b.N
+// off unless the case sets a cadence, so the plain cells isolate the
+// wire+dispatch path) and drives b.N
 // total requests through real wire clients, one goroutine per tenant,
 // in pre-chunked batches. The engine is drained before the timer
 // stops, so ns/op is per request served end to end over TCP.
@@ -483,6 +491,9 @@ func DaemonLoopbackBench(b *testing.B, c DaemonBenchCase) {
 		Capacity:        EngineBenchCapacity,
 		QueueLen:        64,
 		CheckpointEvery: -1,
+	}
+	if c.CheckpointEvery > 0 {
+		cfg.CheckpointEvery = c.CheckpointEvery
 	}
 	if c.WAL {
 		dir := b.TempDir()
@@ -539,5 +550,71 @@ func DaemonLoopbackBench(b *testing.B, c DaemonBenchCase) {
 	}
 	for err := range errc {
 		b.Fatal(err)
+	}
+}
+
+// CaptureBenchCase is one cell of the supervision-capture grid: one
+// capture of a warmed instance after a checkpoint interval of traffic.
+type CaptureBenchCase struct {
+	Name    string // "SnapshotCapture/n=<nodes>/<traffic>"
+	Nodes   int    // complete binary tree size
+	Traffic string // "uniform" (RandomMixed) or "skew" (Zipf bursts)
+}
+
+// CaptureBenchCases returns the capture grid, shared by the
+// internal/snapshot BenchmarkSnapshotCapture pair rows and the
+// cmd/experiments -bench-json recorder: the daemon benchmark's tree
+// (131072-node binary, capacity 16384, α = 8) under uniform and under
+// skewed bursty traffic.
+func CaptureBenchCases() []CaptureBenchCase {
+	return []CaptureBenchCase{
+		{"SnapshotCapture/n=131072/uniform", 1 << 17, "uniform"},
+		{"SnapshotCapture/n=131072/skew", 1 << 17, "skew"},
+	}
+}
+
+// CaptureBench measures one supervision capture through capture
+// (snapshot.Capture, or a reference encoder for a same-process pair):
+// every iteration first serves, untimed, the 32 frames of 1024
+// requests that the engine's default cadence puts between two
+// captures, then times the capture alone. Skewed traffic is the
+// daemon benchmark's: Zipf 1.1 burst targets, 16-request runs, half
+// of them negative.
+func CaptureBench(b *testing.B, c CaptureBenchCase, capture func(*core.MutableTC) ([]byte, error)) {
+	const frames, frameOps = 32, 1024
+	t := tree.CompleteKary(c.Nodes, 2)
+	rng := rand.New(rand.NewSource(1))
+	var traffic trace.Trace
+	if c.Traffic == "skew" {
+		traffic = trace.Bursts(rng, t, trace.BurstsConfig{Rounds: 64 * frames * frameOps, RunLen: 16, ZipfS: 1.1, NegFrac: 0.5})
+	} else {
+		traffic = trace.RandomMixed(rng, t, 64*frames*frameOps)
+	}
+	m := core.NewMutable(t, core.MutableConfig{Config: core.Config{Alpha: 8, Capacity: 1 << 14}})
+	off := 0
+	interval := func() {
+		for f := 0; f < frames; f++ {
+			if off+frameOps > len(traffic) {
+				off = 0
+			}
+			m.ServeBatch(traffic[off : off+frameOps])
+			off += frameOps
+		}
+	}
+	for i := 0; i < 8; i++ { // warm: counters spread, buffers grown
+		interval()
+		if _, err := capture(m); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		interval()
+		b.StartTimer()
+		if _, err := capture(m); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/server"
 	"repro/internal/trace"
 	"repro/internal/tree"
@@ -297,7 +298,9 @@ func TestServerSnapshotAdmitNoDeadlock(t *testing.T) {
 }
 
 // TestServerWALMetricsAndReadyz: the admin plane exposes the WAL
-// durability families after the engine's, and /readyz answers 200 once
+// durability families after the engine's in one valid exposition (no
+// family typed twice, one label-key set per family, cumulative
+// histogram buckets), and /readyz answers 200 once
 // recovery completed.
 func TestServerWALMetricsAndReadyz(t *testing.T) {
 	addr := reserveAddr(t)
@@ -338,12 +341,18 @@ func TestServerWALMetricsAndReadyz(t *testing.T) {
 		"treecache_wal_fsyncs_total",
 		"treecache_wal_fsync_latency_ns_bucket",
 		"treecache_wal_replayed_records",
-		"treecache_checkpoints_total",
-		"treecache_serve_cost_total", // engine families still present
+		"treecache_durable_checkpoints_total 0",
+		"treecache_checkpoints_total{shard=\"0\"", // engine supervision
+		"treecache_serve_cost_total",              // engine families still present
 	} {
 		if !strings.Contains(body, family) {
 			t.Errorf("/metrics missing %q", family)
 		}
+	}
+	// The engine's and the daemon's families share one scrape, which a
+	// Prometheus scraper accepts or rejects as a whole.
+	if err := metrics.Lint(body); err != nil {
+		t.Errorf("combined daemon scrape is not a valid exposition: %v", err)
 	}
 	if t.Failed() {
 		t.Logf("metrics body:\n%s", body)

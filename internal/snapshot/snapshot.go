@@ -1,10 +1,11 @@
 // Package snapshot is a versioned, checksummed binary codec for the
 // full observable state of a dynamic-topology tree cache
-// (core.MutableTC): Capture serializes core.MutableState — stable-id
+// (core.MutableTC): Capture serializes its full state — stable-id
 // topology, per-node counters, cached set, overlay/pending mutations,
-// ledger and round/phase/peak cursors — and Restore rebuilds an
-// equivalent live instance without trace replay, through the same
-// state-migrating injection pass the amortized rebuild uses.
+// ledger and round/phase/peak cursors — and Restore decodes it into a
+// core.MutableState and rebuilds an equivalent live instance without
+// trace replay, through the same state-migrating injection pass the
+// amortized rebuild uses.
 //
 // Wire format (all integers little-endian):
 //
@@ -57,56 +58,75 @@ var (
 	ErrFormat = errors.New("snapshot: malformed")
 )
 
-// Capture serializes m's full observable state.
+// Capture serializes m's full observable state. It encodes straight
+// from the instance's stable-id state mirror (core.MutableTC.Mirror),
+// which a capture refreshes in O(nodes changed since the last
+// capture), so the cost is one pass over the id space into a single
+// output buffer.
 func Capture(m *core.MutableTC) ([]byte, error) {
-	st := m.ExportState()
-	ids := len(st.Live)
-	payload := make([]byte, 0, 64+3*ids)
-	put := func(v int64) {
-		if v < 0 {
-			// Captured state is non-negative by construction; guard so a
-			// future field change cannot silently wrap through uvarint.
-			panic(fmt.Sprintf("snapshot: negative field %d in captured state", v))
-		}
-		payload = binary.AppendUvarint(payload, uint64(v))
-	}
-	put(m.Alpha())
-	put(int64(m.Capacity()))
-	payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(m.RebuildFrac()))
-	put(st.Epoch)
-	put(int64(st.Pending))
-	put(st.Round)
-	put(st.PhaseRounds)
-	put(st.Phase)
-	put(int64(st.Peak))
-	put(st.Led.Serve)
-	put(st.Led.Move)
-	put(st.Led.Fetched)
-	put(st.Led.Evicted)
-	put(int64(ids))
-	for s := 0; s < ids; s++ {
+	cnt, cached := m.Mirror()
+	d := m.Dyn()
+	ids := d.NumIDs()
+	led := m.Ledger()
+	// Typical ids cost a flags byte, a parent varint and a one-byte
+	// counter; append grows the buffer when counters run larger.
+	out := make([]byte, headerLen, headerLen+128+ids*(2+uvarintLen(uint64(ids))))
+	copy(out, magic[:])
+	binary.LittleEndian.PutUint16(out[6:8], Version)
+	out = appendFields(out, m.Alpha(), int64(m.Capacity()))
+	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(m.RebuildFrac()))
+	out = appendFields(out, d.Epoch(), int64(d.Pending()), m.Round(), m.PhaseRounds(), m.Phase(),
+		int64(m.MaxCacheLen()), led.Serve, led.Move, led.Fetched, led.Evicted, int64(ids))
+	// Equal-length local tables let the loop run without bounds checks.
+	parent, live, dense := d.IDs()
+	parent, dense = parent[:len(live)], dense[:len(live)]
+	cnt, cached = cnt[:len(live)], cached[:len(live)]
+	for s, l := range live {
 		var flags byte
-		if st.Live[s] {
+		if l {
 			flags |= 1
 		}
-		if st.InSnap[s] {
+		if dense[s] != tree.None {
 			flags |= 2
 		}
-		if st.Cached[s] {
+		if cached[s] {
 			flags |= 4
 		}
-		payload = append(payload, flags)
-		put(int64(st.Parent[s]) + 1)
-		if st.Live[s] {
-			put(st.Cnt[s])
+		out = append(out, flags)
+		out = binary.AppendUvarint(out, uint64(int64(parent[s])+1))
+		if l {
+			out = binary.AppendUvarint(out, nonneg(cnt[s]))
 		}
 	}
-	out := make([]byte, 0, headerLen+len(payload))
-	out = append(out, magic[:]...)
-	out = binary.LittleEndian.AppendUint16(out, Version)
-	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
-	out = append(out, payload...)
+	binary.LittleEndian.PutUint32(out[8:12], crc32.ChecksumIEEE(out[headerLen:]))
 	return out, nil
+}
+
+// appendFields appends uvarint-coded header fields.
+func appendFields(b []byte, xs ...int64) []byte {
+	for _, x := range xs {
+		b = binary.AppendUvarint(b, nonneg(x))
+	}
+	return b
+}
+
+// nonneg guards a captured field: the state is non-negative by
+// construction, so a negative value is a bug that must not silently
+// wrap through uvarint.
+func nonneg(x int64) uint64 {
+	if x < 0 {
+		panic(fmt.Sprintf("snapshot: negative field %d in captured state", x))
+	}
+	return uint64(x)
+}
+
+// uvarintLen returns the encoded length of x.
+func uvarintLen(x uint64) int {
+	n := 1
+	for ; x >= 0x80; x >>= 7 {
+		n++
+	}
+	return n
 }
 
 // Verify checks the envelope and payload checksum without decoding any

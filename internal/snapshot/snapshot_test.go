@@ -2,6 +2,7 @@ package snapshot_test
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math/rand"
 	"testing"
@@ -187,8 +188,9 @@ func assertEqualState(t *testing.T, label string, a, b *core.MutableTC) {
 func roundTrip(t *testing.T, tr *tree.Tree, cfg core.MutableConfig, steps []step, cut int, corruptAt int) {
 	t.Helper()
 	orig := core.NewMutable(tr, cfg)
-	for _, st := range steps[:cut] {
+	for i, st := range steps[:cut] {
 		apply(t, "orig", orig, st)
+		requireReferenceCapture(t, fmt.Sprintf("prefix op %d", i), orig)
 	}
 
 	blob, err := snapshot.Capture(orig)
@@ -241,6 +243,10 @@ func roundTrip(t *testing.T, tr *tree.Tree, cfg core.MutableConfig, steps []step
 			t.Fatalf("suffix op %d %+v: costs diverged: orig (%d,%d) fresh (%d,%d) inPlace (%d,%d)",
 				i, st, s0, m0, s1, m1, s2, m2)
 		}
+		label := fmt.Sprintf("suffix op %d", i)
+		requireReferenceCapture(t, label+" (orig)", orig)
+		requireReferenceCapture(t, label+" (fresh)", fresh)
+		requireReferenceCapture(t, label+" (in place)", inPlace)
 	}
 	assertEqualState(t, "after suffix (fresh)", orig, fresh)
 	assertEqualState(t, "after suffix (in place)", orig, inPlace)
@@ -331,8 +337,10 @@ func TestSnapshotEnvelope(t *testing.T) {
 // FuzzSnapshotRoundTrip pins Restore(Capture(x)) ≡ x on the full
 // observable state — counters, cached set, ledger, phase, epoch,
 // pending overlay — for arbitrary churn prefixes (mid-phase and
-// mid-churn captures included), and that corrupted or truncated bytes
-// fail with an error, never a panic. Run with
+// mid-churn captures included), that corrupted or truncated bytes
+// fail with an error, never a panic, and that after every operation
+// each instance's capture equals the reference capture built from a
+// from-scratch per-node export. Run with
 //
 //	go test -fuzz FuzzSnapshotRoundTrip ./internal/snapshot
 //

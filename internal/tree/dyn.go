@@ -168,6 +168,15 @@ func (d *Dyn) Stable(g NodeID) NodeID { return d.stable[g] }
 // the root).
 func (d *Dyn) Parent(v NodeID) NodeID { return d.parent[v] }
 
+// IDs returns the per-stable-id tables over the full id space: the
+// stable parent, the live flag and the dense snapshot id (None when not
+// snapshot-resident), for bulk readers such as the snapshot codec. The
+// slices alias the Dyn's state: they are read-only and valid until the
+// next mutation or rebuild.
+func (d *Dyn) IDs() (parent []NodeID, live []bool, dense []NodeID) {
+	return d.parent, d.live, d.dense
+}
+
 // LiveChildren returns the number of live children of stable node v.
 func (d *Dyn) LiveChildren(v NodeID) int { return int(d.kids[v]) }
 
